@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -43,6 +45,10 @@ func startService(t *testing.T, cfg service.Config) (string, *service.Server) {
 	return strings.TrimPrefix(hs.URL, "http://"), srv
 }
 
+// okCount captures the ok count from the generator's "load: N sent ..."
+// summary line.
+var okCount = regexp.MustCompile(`(?m)^load: \d+ sent .*, (\d+) ok, `)
+
 // TestLoadAgainstService: the generator drives a live in-process service
 // within budget and exits 0, reporting latency and zero errors.
 func TestLoadAgainstService(t *testing.T) {
@@ -58,7 +64,11 @@ func TestLoadAgainstService(t *testing.T) {
 	if !strings.Contains(out.String(), " ok, ") || !strings.Contains(out.String(), "latency") {
 		t.Fatalf("report missing counts or latency:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "0 ok,") {
+	m := okCount.FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("report has no load: counts line:\n%s", out.String())
+	}
+	if ok, _ := strconv.Atoi(m[1]); ok <= 0 {
 		t.Fatalf("no successful requests:\n%s", out.String())
 	}
 }

@@ -100,7 +100,8 @@ func (a FixedSilence) silenced(p sim.ProcID) bool {
 //
 // Planning reuses per-instance scratch (the sender rows, subset draws, and
 // reset list), so the returned Window is valid only until the next
-// PlanDelivery call; the System consumes it before then.
+// PlanDelivery call; the System consumes it before then. Each receiver's row
+// is one rng.SubsetInto draw, O(n) with no sort, so a window plans in O(n²).
 type RandomWindows struct {
 	rng       *rng.Source
 	resetProb float64

@@ -1,7 +1,9 @@
 package adversary
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +116,41 @@ func TestRandomWindowsLegality(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomWindowsGoldenDigest fixes the random adversary's plans at the
+// stall sweep's n=48, t=7 shape — sender rows and reset draws alike — so any
+// change to the sampler or to the order of draws fails here by name.
+func TestRandomWindowsGoldenDigest(t *testing.T) {
+	const golden = 0xc48bd2562191eeee
+	s := newVoteSystem(t, 48, 7, 24)
+	adv := NewRandomWindows(1, 0.5, 7)
+	h := fnv.New64a()
+	var buf []byte
+	put := func(ids []sim.ProcID) {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(ids)))
+		for _, p := range ids {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
+		}
+		h.Write(buf)
+	}
+	resetWindows := 0
+	for w := 0; w < 64; w++ {
+		win := adv.PlanDelivery(s, nil)
+		for _, row := range win.Senders {
+			put(row)
+		}
+		put(win.Resets)
+		if len(win.Resets) > 0 {
+			resetWindows++
+		}
+	}
+	if resetWindows == 0 {
+		t.Fatal("no window drew resets; the digest would not cover the reset path")
+	}
+	if got := h.Sum64(); got != golden {
+		t.Fatalf("RandomWindows plan digest %#x, want %#x", got, uint64(golden))
 	}
 }
 

@@ -12,6 +12,7 @@ package rng
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -133,22 +134,30 @@ func (s *Source) Subset(n, k int) []int {
 // for callers that own an n-length scratch slice (contents need not be
 // initialized). It draws exactly the same values from the stream as
 // Subset(len(dst), k). It panics if k > len(dst) or k < 0.
+//
+// The cost is O(len(dst)) for every k, with no sort: the hot callers draw
+// k >= n-t of n senders per receiver per window.
 func (s *Source) SubsetInto(dst []int, k int) []int {
 	if k < 0 || k > len(dst) {
 		panic(fmt.Sprintf("rng: SubsetInto called with k = %d out of range [0, %d]", k, len(dst)))
 	}
-	// Fisher-Yates over the scratch, then sort by insertion (k is typically
-	// small relative to the cost of importing sort).
+	// The subset is the head of a Fisher-Yates permutation, which is
+	// [0, n) minus the tail dst[k:]; a sorted set is unique, so sweeping
+	// [0, n) in order and skipping the tail's members yields it exactly.
+	// Mark each tail value at its own index with the sign bit (a slot may
+	// already be marked when it is read, hence the mask).
 	s.PermInto(dst)
-	out := dst[:k]
-	insertionSort(out)
-	return out
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
+	for _, v := range dst[k:] {
+		dst[v&math.MaxInt] |= math.MinInt
+	}
+	// Compact the unmarked indices into dst[:k]. Slot o is written only
+	// after slot v >= o has been read, so no mark is lost.
+	o := 0
+	for v, m := range dst {
+		if m >= 0 {
+			dst[o] = v
+			o++
 		}
 	}
+	return dst[:k]
 }

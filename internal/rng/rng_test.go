@@ -1,6 +1,10 @@
 package rng
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -153,8 +157,9 @@ func TestSubsetIntoMatchesSubset(t *testing.T) {
 			}
 		}
 	}
-	if testing.AllocsPerRun(100, func() { New(5).SubsetInto(scratch[:16], 12) }) > 1 {
-		t.Fatal("SubsetInto allocates beyond its Source")
+	src := New(5)
+	if allocs := testing.AllocsPerRun(100, func() { src.SubsetInto(scratch[:32], 30) }); allocs != 0 {
+		t.Fatalf("SubsetInto on a pre-built Source allocates %v times per call", allocs)
 	}
 	defer func() {
 		if recover() == nil {
@@ -162,6 +167,70 @@ func TestSubsetIntoMatchesSubset(t *testing.T) {
 		}
 	}()
 	New(1).SubsetInto(scratch[:4], 5)
+}
+
+// subsetOracle is the reference sampler SubsetInto must reproduce: a full
+// Fisher-Yates over dst followed by an insertion sort of the first k
+// entries. It is deliberately the naive algorithm, kept here only to check
+// the fast one against.
+func subsetOracle(s *Source, dst []int, k int) []int {
+	s.PermInto(dst)
+	out := dst[:k]
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j-1] > out[j]; j-- {
+			out[j-1], out[j] = out[j], out[j-1]
+		}
+	}
+	return out
+}
+
+// TestSubsetIntoMatchesOracle pins SubsetInto to the reference sampler for
+// every k at every n up to 130 (crossing the 63/64/65 and 127/128 word
+// boundaries the delivery bitsets use), over several seeds: the same sorted
+// subset, and the same stream position afterwards.
+func TestSubsetIntoMatchesOracle(t *testing.T) {
+	const maxN = 130
+	want, got := make([]int, maxN), make([]int, maxN)
+	for _, seed := range []uint64{0, 1, 42, 1<<63 + 5} {
+		a, b := New(seed), New(seed)
+		for n := 0; n <= maxN; n++ {
+			for k := 0; k <= n; k++ {
+				w := subsetOracle(a, want[:n], k)
+				g := b.SubsetInto(got[:n], k)
+				if !slices.Equal(g, w) {
+					t.Fatalf("seed %d: SubsetInto(n=%d, k=%d) = %v, want %v", seed, n, k, g, w)
+				}
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("seed %d: stream diverged after SubsetInto(n=%d, k=%d)", seed, n, k)
+				}
+			}
+		}
+	}
+}
+
+// TestSubsetIntoGoldenDigest fixes the sampler's output at the stall sweep's
+// random-cell shape (n=48: k = n-t, a full k = n, a reset-sized k = t), at
+// n=60 and at n=1024, so any change to the stream or to the subset order
+// fails here by name.
+func TestSubsetIntoGoldenDigest(t *testing.T) {
+	const golden = 0xad820ed5168ae31d
+	s := New(2013)
+	scratch := make([]int, 1024)
+	h := fnv.New64a()
+	var buf []byte
+	for _, nk := range [][2]int{{48, 41}, {48, 48}, {48, 7}, {60, 51}, {1024, 897}} {
+		n, k := nk[0], nk[1]
+		for r := 0; r < 16; r++ {
+			buf = buf[:0]
+			for _, v := range s.SubsetInto(scratch[:n], k) {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			}
+			h.Write(buf)
+		}
+	}
+	if got := h.Sum64(); got != golden {
+		t.Fatalf("SubsetInto stream digest %#x, want %#x", got, uint64(golden))
+	}
 }
 
 func TestSubsetProperties(t *testing.T) {
@@ -216,5 +285,22 @@ func BenchmarkIntn(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Intn(100)
+	}
+}
+
+// BenchmarkSubsetInto measures one receiver's draw at the stall sweep's
+// random-cell shapes, n=48 with k = n-t = 41 and a full k = n, and at
+// n=1024 with k = n-t = 897, where any sort of the subset would dominate.
+func BenchmarkSubsetInto(b *testing.B) {
+	for _, nk := range [][2]int{{48, 41}, {48, 48}, {1024, 897}} {
+		n, k := nk[0], nk[1]
+		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+			s := New(1)
+			scratch := make([]int, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.SubsetInto(scratch, k)
+			}
+		})
 	}
 }

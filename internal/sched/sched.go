@@ -192,7 +192,8 @@ func (a *AscendingMinimal) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.P
 
 // SeededRandom admits an independent uniformly random (n−t)-subset per
 // receiver per window, drawn from its own deterministic stream: equal seeds
-// replay the exact same delivery schedule. Construct via NewSeededRandom;
+// replay the exact same delivery schedule. Each receiver's row is one
+// rng.SubsetInto draw, O(n) with no sort. Construct via NewSeededRandom;
 // instances carry rng state and must not be shared across trials.
 type SeededRandom struct {
 	rng  *rng.Source

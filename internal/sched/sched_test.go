@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -126,6 +128,29 @@ func TestSeededRandomReproducible(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, plansFor(43)) {
 		t.Fatal("different seeds produced identical delivery schedules")
+	}
+}
+
+// TestSeededRandomGoldenDigest fixes the seeded scheduler's rows at the
+// stall sweep's n=48, t=7 shape, so any change to the sampler or to the
+// order of draws fails here by name.
+func TestSeededRandomGoldenDigest(t *testing.T) {
+	const golden = 0x43d57513bb7aae4b
+	s := newCoreSystem(t, 48, 7, 1)
+	sch := NewSeededRandom(1)
+	h := fnv.New64a()
+	var buf []byte
+	for w := 0; w < 64; w++ {
+		for _, row := range sch.PlanSenders(s, nil) {
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(row)))
+			for _, p := range row {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
+			}
+			h.Write(buf)
+		}
+	}
+	if got := h.Sum64(); got != golden {
+		t.Fatalf("SeededRandom plan digest %#x, want %#x", got, uint64(golden))
 	}
 }
 
