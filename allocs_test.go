@@ -21,9 +21,8 @@ func TestApplyWindowAllocs(t *testing.T) {
 	}{{"columnar", true}, {"message", false}} {
 		t.Run(mode.name, func(t *testing.T) {
 			const n = 24
-			cfg := Config{Algorithm: AlgorithmCore, N: n, T: n / 8,
-				Inputs: SplitInputs(n), Seed: 1, DisableColumnar: !mode.columnar}
-			s, err := New(cfg)
+			s, err := registry.NewSystem(string(AlgorithmCore), registry.Params{N: n, T: n / 8,
+				Inputs: SplitInputs(n), Seed: 1, DisableColumnar: !mode.columnar})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,38 +161,6 @@ func TestRecycledPaxosTrialAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, run)
 	if allocs > 0 {
 		t.Fatalf("recycled paxos+full trial allocates %.1f per trial, want 0", allocs)
-	}
-}
-
-// TestShardedApplyWindowAllocFree pins the zero-steady-state-allocation
-// property of the sharded window core: once the worker pool, per-shard
-// scratch, and order buffers are warm, a sharded window allocates nothing —
-// phases are dispatched through a reused enum/channel protocol, never
-// closures.
-func TestShardedApplyWindowAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime instruments channel wakes with allocating shadow state")
-	}
-	const n = 48
-	cfg := Config{Algorithm: AlgorithmCore, N: n, T: n / 8,
-		Inputs: SplitInputs(n), Seed: 1, ShardWorkers: 4}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv := FullDelivery()
-	for i := 0; i < 32; i++ { // warm up pool, shard scratch, and order buffers
-		if err := s.ApplyWindowWith(adv); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.ApplyWindowWith(adv); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("sharded ApplyWindow allocates %.1f per window at n=%d, want 0", allocs, n)
 	}
 }
 

@@ -154,16 +154,6 @@ type Config struct {
 	CoreThresholds *Thresholds
 	// Proposers optionally selects the Paxos proposers (default {0}).
 	Proposers []ProcID
-	// ShardWorkers sets intra-trial parallelism: window delivery (and
-	// sending, where the algorithm declares it safe) runs across this many
-	// goroutines. <= 1 runs serial. Execution output is byte-identical at
-	// every setting; this only changes wall-clock at large N.
-	ShardWorkers int
-	// DisableColumnar opts out of the columnar vote-tally fast path for
-	// algorithms that support it (core and Ben-Or). Like ShardWorkers this
-	// is a pure performance knob: execution output is byte-identical either
-	// way. The zero value keeps the fast path on.
-	DisableColumnar bool
 }
 
 // params converts the facade config to registry construction parameters.
@@ -171,7 +161,6 @@ func (cfg Config) params() registry.Params {
 	return registry.Params{
 		N: cfg.N, T: cfg.T, Inputs: cfg.Inputs, Seed: cfg.Seed,
 		CoreThresholds: cfg.CoreThresholds, Proposers: cfg.Proposers,
-		ShardWorkers: cfg.ShardWorkers, DisableColumnar: cfg.DisableColumnar,
 	}
 }
 

@@ -6,7 +6,6 @@ package asyncagree
 // EXPERIMENTS.md tables with `go run ./cmd/experiments -scale full`.
 
 import (
-	"strconv"
 	"testing"
 
 	"asyncagree/internal/adversary"
@@ -74,19 +73,6 @@ func BenchmarkWindowThroughputColumnar(b *testing.B) {
 func BenchmarkWindowThroughputMessage(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(benchcases.SizeLabel(n), benchcases.WindowThroughputMessage(n))
-	}
-}
-
-// BenchmarkWindowThroughputSharded measures the same hot loop with the
-// sharded window core engaged (worker counts 2 and 4). Output is
-// byte-identical to the serial case; only wall-clock differs — on a
-// multi-core machine the sharded path should win decisively at n >= 256.
-func BenchmarkWindowThroughputSharded(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		for _, w := range []int{2, 4} {
-			b.Run(benchcases.SizeLabel(n)+"/w="+strconv.Itoa(w),
-				benchcases.WindowThroughputSharded(n, w))
-		}
 	}
 }
 

@@ -46,8 +46,6 @@ func run(args []string) error {
 		schedName  = fs.String("sched", "adversary", "delivery scheduler: "+strings.Join(asyncagree.Schedulers(), " | "))
 		seed       = fs.Uint64("seed", 1, "random seed (same seed + same flags = same execution)")
 		maxWindows = fs.Int("max-windows", 100000, "window budget")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; output is identical at any setting)")
-		columnar   = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (output is identical either way)")
 		trace      = fs.Bool("trace", false, "print every simulator event")
 		list       = fs.Bool("list", false, "print the registered algorithms, adversaries, schedulers, and input patterns")
 	)
@@ -64,16 +62,11 @@ func run(args []string) error {
 		return err
 	}
 
-	if *shardW < 1 {
-		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
-	}
 	cfg := asyncagree.Config{
 		Algorithm: asyncagree.Algorithm(*alg),
 		N:         *n, T: *t,
-		Inputs:          in,
-		Seed:            *seed,
-		ShardWorkers:    *shardW,
-		DisableColumnar: !*columnar,
+		Inputs: in,
+		Seed:   *seed,
 	}
 	sys, err := asyncagree.New(cfg)
 	if err != nil {

@@ -69,8 +69,6 @@ func run(args []string, stdout io.Writer) int {
 		deadline     = fs.Duration("deadline", 30*time.Second, "per-request execution deadline")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
 		quarAfter    = fs.Int("quarantine-after", 3, "quarantine a scenario after this many consecutive faults (<0 disables)")
-		shardWorkers = fs.Int("shard-workers", 0, "intra-trial shard workers (<=1: serial; results identical at any setting)")
-		columnar     = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (results identical either way)")
 		injectPanics = fs.String("inject-panics", "", "chaos: explicit request indices whose trials panic (e.g. 0,5,9-12)")
 		maxWindows   = fs.Int("max-windows", 20000, "default per-trial window budget")
 	)
@@ -100,8 +98,6 @@ func run(args []string, stdout io.Writer) int {
 		RequestTimeout:    *deadline,
 		DefaultMaxWindows: *maxWindows,
 		QuarantineAfter:   *quarAfter,
-		ShardWorkers:      *shardWorkers,
-		DisableColumnar:   !*columnar,
 		JournalPath:       *journalPath,
 		InjectPanics:      inject,
 	})

@@ -96,10 +96,6 @@ func suite() []struct {
 		add("WindowThroughputMessage/"+benchcases.SizeLabel(n),
 			benchcases.WindowThroughputMessage(n))
 	}
-	for _, n := range []int{256, 1024} {
-		add("WindowThroughputSharded/"+benchcases.SizeLabel(n)+"/w=4",
-			benchcases.WindowThroughputSharded(n, 4))
-	}
 	add("SplitVoteWindow/"+benchcases.SizeLabel(24), benchcases.SplitVoteWindow(24))
 	add("BrachaWindow/"+benchcases.SizeLabel(13), benchcases.BrachaWindow(13))
 	add("PaxosDecision/"+benchcases.SizeLabel(5), benchcases.PaxosDecision(5))

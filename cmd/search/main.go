@@ -8,13 +8,13 @@
 // decision (censored at -max-windows).
 //
 // The search is deterministic end to end: the same flags and -seed produce
-// byte-identical output, serial (-serial) or parallel, at any
-// -shard-workers setting. With -out the per-evaluation records stream as
-// JSONL and a checkpoint file (default <out>.ckpt, -checkpoint overrides,
-// "off" disables) records every completed evaluation; an interrupted
-// search — Ctrl-C flushes cleanly and prints this hint — rerun with
-// -resume replays the checkpointed prefix without re-running a trial and
-// finishes with output byte-identical to an uninterrupted run.
+// byte-identical output, serial (-serial) or parallel. With -out the
+// per-evaluation records stream as JSONL and a checkpoint file (default
+// <out>.ckpt, -checkpoint overrides, "off" disables) records every
+// completed evaluation; an interrupted search — Ctrl-C flushes cleanly and
+// prints this hint — rerun with -resume replays the checkpointed prefix
+// without re-running a trial and finishes with output byte-identical to an
+// uninterrupted run.
 //
 // Faulted evaluations (panics, injected stalls) become records instead of
 // crashes and never enter the frontier; sink writes retry with
@@ -96,7 +96,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		refine     = fs.Int("refine", 0, "grid refinement rounds (0 = default 2, negative = none)")
 		gens       = fs.Int("gens", 0, "evolutionary generations (0 = default 3, negative = none)")
 		pop        = fs.Int("pop", 0, "candidates per generation (0 = default 8)")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; output is identical at any setting)")
 		serial     = fs.Bool("serial", false, "evaluate candidates on a serial loop instead of the worker pool")
 		verbose    = fs.Bool("v", false, "also print skipped sizes")
 		list       = fs.Bool("list", false, "print the registered algorithms, adversaries (with knobs), schedulers, and input patterns")
@@ -123,9 +122,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		return nil
 	}
 
-	if *shardW < 1 {
-		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
-	}
 	if *trials < 0 {
 		return fmt.Errorf("trials must be >= 0, got %d", *trials)
 	}
@@ -166,7 +162,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		Refinements:        *refine,
 		Generations:        *gens,
 		Population:         *pop,
-		ShardWorkers:       *shardW,
 	}
 	var err error
 	if o.Sizes, err = parseSizes(*sizes); err != nil {

@@ -98,8 +98,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		inputs     = fs.String("inputs", "", "comma-separated input patterns (empty = default grid)")
 		trials     = fs.Int("trials", 0, "trials per cell, seeded 1..trials (0 = default grid)")
 		maxWindows = fs.Int("max-windows", 0, "per-trial window budget (0 = default)")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; records are identical at any setting)")
-		columnar   = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (records are identical either way)")
 		serial     = fs.Bool("serial", false, "run trials on a serial loop instead of the worker pool")
 		verbose    = fs.Bool("v", false, "also print skipped sizes and incompatible-pair counts")
 		list       = fs.Bool("list", false, "print the registered algorithms, adversaries, schedulers, and input patterns")
@@ -128,18 +126,12 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		return nil
 	}
 
-	if *shardW < 1 {
-		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
-	}
 	m := registry.Matrix{
-		Algorithms:   splitList(*algs),
-		Adversaries:  splitList(*advs),
-		Schedulers:   splitList(*scheds),
-		Inputs:       splitList(*inputs),
-		MaxWindows:   *maxWindows,
-		ShardWorkers: *shardW,
-
-		DisableColumnar: !*columnar,
+		Algorithms:  splitList(*algs),
+		Adversaries: splitList(*advs),
+		Schedulers:  splitList(*scheds),
+		Inputs:      splitList(*inputs),
+		MaxWindows:  *maxWindows,
 	}
 	var err error
 	if m.Sizes, err = parseSizes(*sizes); err != nil {

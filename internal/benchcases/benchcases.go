@@ -28,42 +28,32 @@ func SizeLabel(n int) string { return "n=" + strconv.Itoa(n) }
 // the bodies report msgs/op so cmd/bench can derive ns/message and keep
 // O(n²)-inherent growth distinguishable from kernel overhead.
 func WindowThroughput(n int) func(b *testing.B) {
-	return windowThroughput(n, 1, true)
-}
-
-// WindowThroughputSharded is WindowThroughput with the sharded window core
-// engaged at the given worker count. Execution output is byte-identical to
-// the serial case (property-tested in registry); only wall-clock differs.
-func WindowThroughputSharded(n, workers int) func(b *testing.B) {
-	return windowThroughput(n, workers, true)
+	return windowThroughput(n, true)
 }
 
 // WindowThroughputColumnar pins the columnar vote-tally kernel by name for
 // the CI perf gate: identical to WindowThroughput except that it fails
 // loudly if the columnar gate did not engage (a silent fall-back to the
 // message-at-a-time path would otherwise show up only as a mysterious
-// slowdown). Serial; the sharded interaction is covered by
-// WindowThroughputSharded.
+// slowdown).
 func WindowThroughputColumnar(n int) func(b *testing.B) {
-	return windowThroughput(n, 1, true)
+	return windowThroughput(n, true)
 }
 
 // WindowThroughputMessage is the legacy message-at-a-time path, kept
 // measured so per-Deliver dispatch regressions stay visible now that the
 // default path is columnar.
 func WindowThroughputMessage(n int) func(b *testing.B) {
-	return windowThroughput(n, 1, false)
+	return windowThroughput(n, false)
 }
 
-func windowThroughput(n, workers int, columnar bool) func(b *testing.B) {
+func windowThroughput(n int, columnar bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		s, _, err := lowerbound.NewCoreSystem(n, n/8, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.SetShardWorkers(workers)
-		s.SetParallelSend(workers > 1)
 		s.SetColumnar(columnar)
 		adv := adversary.FullDelivery{}
 		if columnar && !s.ColumnarPlanned(adv) {
@@ -156,7 +146,11 @@ func BrachaWindow(n int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		adv := adversary.FullDelivery{}
-		for i := 0; i < 2; i++ { // steady-state scratch (see windowThroughput)
+		// Bracha's pools reach their high-water mark only after the
+		// straggler-recreation cycle of a few completed protocol rounds, so
+		// warm up as long as TestBrachaWindowAllocs does: a shorter warm-up
+		// records those one-time allocations as steady state.
+		for i := 0; i < 200; i++ {
 			if err := s.ApplyWindowWith(adv); err != nil {
 				b.Fatal(err)
 			}

@@ -65,7 +65,7 @@ func All() []Experiment {
 		{ID: "E12", Title: "Theorem 4 proof: no conflicting deterministic adoptions (2*T3 > n)", Run: runE12},
 		{ID: "E13", Title: "Lemma 13 (k=1): Hamming separation of the Monte-Carlo Z^1 sets", Run: runE13},
 		{ID: "E14", Title: "Scheduler sensitivity: E8/E9 decision-round curves across delivery disciplines", Run: runE14},
-		{ID: "E15", Title: "Scaling curves: decision latency and stall behavior vs n under the sharded window core", Run: runE15},
+		{ID: "E15", Title: "Scaling curves: decision latency and stall behavior vs n under the columnar kernel", Run: runE15},
 		{ID: "E16", Title: "Adversary search: optimized stall frontier vs the replayed Theorem 5 construction", Run: runE16},
 	}
 	sort.Slice(exps, func(i, j int) bool { return idLess(exps[i].ID, exps[j].ID) })

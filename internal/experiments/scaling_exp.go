@@ -8,15 +8,9 @@ import (
 	"asyncagree/internal/stream"
 )
 
-// e15ShardWorkers is the worker count the sharded leg of every E15 trial
-// runs at. It is a constant, not runtime.GOMAXPROCS, so the experiment
-// exercises the sharded window core on every machine (including single-CPU
-// CI) and its table is machine-independent; ShardWorkers is a pure
-// performance knob, so records cannot move with it either way.
-const e15ShardWorkers = 4
-
 // runE15 traces the simulator's scaling curves as n grows into the
-// thousands — the regime the sharded window core exists for. Two axes:
+// thousands — the regime the columnar vote-tally kernel exists for. Two
+// axes:
 //
 //   - Decision latency: under benign full delivery, the two protocols whose
 //     windows-to-decision curve is flat in n. The core algorithm on
@@ -32,11 +26,10 @@ const e15ShardWorkers = 4
 //     n~32 the budget is not survivable — E2's curve is the reason — so
 //     the stall axis starts where the exponential has taken over.)
 //
-// Every trial runs three times through the pooled engine — serial
-// message-at-a-time (the reference), serial columnar, and sharded columnar
-// (ShardWorkers=4) — and all three RunResults must be identical: the
-// serial==parallel and message==columnar determinism contracts, checked end
-// to end at sizes the property tests cannot afford.
+// Every trial runs twice through the pooled engine — message-at-a-time (the
+// reference) and columnar — and both RunResults must be identical: the
+// message==columnar determinism contract, checked end to end at sizes the
+// property tests cannot afford.
 func runE15(scale Scale) (Result, error) {
 	type sizeCfg struct {
 		n, trials int
@@ -57,18 +50,18 @@ func runE15(scale Scale) (Result, error) {
 		mismatch, unsafe  bool
 		windows           stream.Summary
 	}
-	// runLegs executes one seeded trial on all three execution paths —
-	// serial message-at-a-time (the reference), serial columnar, and
-	// sharded columnar — and folds the reference result into the
-	// accumulator. Any leg diverging from the reference is a mismatch.
+	// runLegs executes one seeded trial on both execution paths —
+	// message-at-a-time (the reference) and columnar — and folds the
+	// reference result into the accumulator. A columnar leg diverging from
+	// the reference is a mismatch.
 	runLegs := func(a *e15Acc, alg, adv, pattern string, n, t, maxW int, seed uint64) error {
 		inputs, err := registry.Inputs(pattern, n, seed)
 		if err != nil {
 			return err
 		}
 		p := registry.Params{N: n, T: t, Seed: seed, Inputs: inputs,
-			ShardWorkers: 1, DisableColumnar: true}
-		serial, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
+			DisableColumnar: true}
+		message, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
 		if err != nil {
 			return err
 		}
@@ -77,23 +70,18 @@ func runE15(scale Scale) (Result, error) {
 		if err != nil {
 			return err
 		}
-		p.ShardWorkers = e15ShardWorkers
-		sharded, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
-		if err != nil {
-			return err
-		}
-		if serial != columnar || serial != sharded {
+		if message != columnar {
 			a.mismatch = true
 		}
-		if !serial.Agreement || !serial.Validity {
+		if !message.Agreement || !message.Validity {
 			a.unsafe = true
 		}
-		if serial.AllDecided {
+		if message.AllDecided {
 			a.decided++
-			a.windows.AddInt(serial.Windows)
+			a.windows.AddInt(message.Windows)
 		}
-		if serial.FirstDecision > a.maxFirst {
-			a.maxFirst = serial.FirstDecision
+		if message.FirstDecision > a.maxFirst {
+			a.maxFirst = message.FirstDecision
 		}
 		return nil
 	}
@@ -173,14 +161,14 @@ func runE15(scale Scale) (Result, error) {
 	}
 
 	notes := []string{
-		fmt.Sprintf("every trial ran three ways — serial message-at-a-time, serial columnar, and sharded columnar (ShardWorkers=%d) — with RunResults compared per seed", e15ShardWorkers),
+		"every trial ran two ways — message-at-a-time and columnar — with RunResults compared per seed",
 		fmt.Sprintf("latency axis window budget: %d; stall axis window budget: %d acceptable windows", latBudget, stallBudget),
 		verdict(pass,
-			"windows-to-decision stays flat as n grows (core decides in the first window on unanimous inputs, Paxos within a fixed round budget), the split-vote adversary still stalls within budget at every size, and the columnar and sharded execution paths reproduce the serial message-at-a-time results exactly"),
+			"windows-to-decision stays flat as n grows (core decides in the first window on unanimous inputs, Paxos within a fixed round budget), the split-vote adversary still stalls within budget at every size, and the columnar execution path reproduces the message-at-a-time results exactly"),
 	}
 	return Result{
 		ID:    "E15",
-		Title: "Scaling curves: decision latency and stall behavior vs n under the sharded window core",
+		Title: "Scaling curves: decision latency and stall behavior vs n under the columnar kernel",
 		Table: table,
 		Notes: notes,
 		Pass:  pass,

@@ -57,10 +57,9 @@ const (
 // sim.PayloadReclaimer hook (the same discipline PR 6 established for
 // Bracha's *rbc.Msg). A box is written only by its creator inside its own
 // Send/Deliver step and is read-only while in flight, so sharing one box
-// across the n copies of a broadcast — and delivering those copies from
-// concurrent shards — is safe. Receivers must copy out any field they need
-// beyond the Deliver call: the box returns to its owner's pool when the
-// window's batch is reclaimed.
+// across the n copies of a broadcast is safe. Receivers must copy out any
+// field they need beyond the Deliver call: the box returns to its owner's
+// pool when the window's batch is reclaimed.
 type Msg struct {
 	Kind      MsgKind
 	B         int     // ballot (Prepare/Promise/Accept/Accepted/Nack)

@@ -39,17 +39,16 @@ func compareQuiet(t *testing.T, label string,
 
 // TestColumnarTrialMatchesMessage is the byte-identity contract of the
 // columnar vote-tally kernel at the registry level: for every compatible
-// (columnar algorithm × adversary × scheduler) triple at the smoke-grid
-// shape, a columnar trial — fresh and recycled, serial and sharded (worker
-// counts 1, 2, 4) — produces exactly the RunResult and final configuration
-// of the message-at-a-time path. Under -race this doubles as the data-race
-// proof for the sharded tally phase.
+// (columnar algorithm × adversary × scheduler) triple at the CI smoke-grid
+// shape — sizes 12:1 and 48:6, split and ones inputs, two seeds — a columnar
+// trial, fresh and recycled, produces exactly the RunResult and final
+// configuration of the message-at-a-time path.
 func TestColumnarTrialMatchesMessage(t *testing.T) {
 	small := Matrix{
 		Algorithms: []string{"core", "benor"},
-		Sizes:      []Size{{N: 12, T: 1}},
+		Sizes:      []Size{{N: 12, T: 1}, {N: 48, T: 6}},
 		Inputs:     []string{"split"},
-		Seeds:      []uint64{3},
+		Seeds:      []uint64{1},
 		MaxWindows: 400,
 	}
 	trials, err := small.allSpecs()
@@ -64,84 +63,142 @@ func TestColumnarTrialMatchesMessage(t *testing.T) {
 		name := fmt.Sprintf("%s_%s_%s_%s", ts.Algorithm, ts.Adversary, ts.Scheduler, ts.Size)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-				DisableColumnar: true}
+			for _, input := range []string{"split", "ones"} {
+				for _, seed := range []uint64{1, 2} {
+					label := fmt.Sprintf("%s/seed=%d", input, seed)
+					inputs, err := Inputs(input, ts.Size.N, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					legacy := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: seed,
+						DisableColumnar: true}
 
-			// Message-at-a-time reference execution.
-			sys, err := NewSystem(ts.Algorithm, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := NewScheduledAdversary(ts.Adversary, ts.Scheduler, ts.Algorithm, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lRes, lSnap, lErr := quietRun(sys, plan, ts.maxWindows)
+					// Message-at-a-time reference execution.
+					sys, err := NewSystem(ts.Algorithm, legacy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plan, err := NewScheduledAdversary(ts.Adversary, ts.Scheduler, ts.Algorithm, legacy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sys.ColumnarPlanned(plan) {
+						t.Fatalf("%s: DisableColumnar still planned the columnar path", label)
+					}
+					lRes, lSnap, lErr := quietRun(sys, plan, ts.maxWindows)
 
-			for _, workers := range []int{1, 2, 4} {
-				p := legacy
-				p.DisableColumnar = false
-				p.ShardWorkers = workers
+					// Fresh columnar execution.
+					p := legacy
+					p.DisableColumnar = false
+					cSys, err := NewSystem(ts.Algorithm, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cPlan, err := NewScheduledAdversary(ts.Adversary, ts.Scheduler, ts.Algorithm, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !cSys.ColumnarPlanned(cPlan) {
+						t.Fatalf("%s: columnar path not planned; the comparison would be vacuous", label)
+					}
+					cRes, cSnap, cErr := quietRun(cSys, cPlan, ts.maxWindows)
+					compareQuiet(t, label+" fresh", lRes, lSnap, lErr, cRes, cSnap, cErr)
 
-				// Fresh columnar execution.
-				cSys, err := NewSystem(ts.Algorithm, p)
-				if err != nil {
-					t.Fatal(err)
+					// Recycled columnar execution: dirty a fresh engine with a
+					// warm-up trial on another seed/pattern, then rewind it.
+					warmInputs, err := Inputs("ones", ts.Size.N, 99)
+					if err != nil {
+						t.Fatal(err)
+					}
+					warm := Params{N: ts.Size.N, T: ts.Size.T, Inputs: warmInputs, Seed: 99}
+					key := engineKey{alg: ts.Algorithm, adv: ts.Adversary, sched: ts.Scheduler,
+						n: ts.Size.N, t: ts.Size.T}
+					e, err := newTrialEngine(key, warm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := e.Run(150); err != nil {
+						t.Fatalf("warm-up trial: %v", err)
+					}
+					if err := e.prepare(p); err != nil {
+						t.Fatalf("prepare: %v", err)
+					}
+					rRes, rSnap, rErr := quietRun(e.sys, e.plan, ts.maxWindows)
+					compareQuiet(t, label+" recycled", lRes, lSnap, lErr, rRes, rSnap, rErr)
 				}
-				cPlan, err := NewScheduledAdversary(ts.Adversary, ts.Scheduler, ts.Algorithm, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !cSys.ColumnarPlanned(cPlan) {
-					t.Fatalf("columnar path not planned for %s; the comparison would be vacuous", name)
-				}
-				cRes, cSnap, cErr := quietRun(cSys, cPlan, ts.maxWindows)
-				compareQuiet(t, fmt.Sprintf("fresh w=%d", workers), lRes, lSnap, lErr, cRes, cSnap, cErr)
-
-				// Recycled columnar execution: dirty a fresh engine with a
-				// warm-up trial on another seed/pattern, then rewind it.
-				warmInputs, err := Inputs("ones", ts.Size.N, 99)
-				if err != nil {
-					t.Fatal(err)
-				}
-				warm := Params{N: ts.Size.N, T: ts.Size.T, Inputs: warmInputs,
-					Seed: 99, ShardWorkers: workers}
-				key := engineKey{alg: ts.Algorithm, adv: ts.Adversary, sched: ts.Scheduler,
-					n: ts.Size.N, t: ts.Size.T}
-				e, err := newTrialEngine(key, warm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e.Run(150); err != nil {
-					t.Fatalf("warm-up trial: %v", err)
-				}
-				if err := e.prepare(p); err != nil {
-					t.Fatalf("prepare: %v", err)
-				}
-				rRes, rSnap, rErr := quietRun(e.sys, e.plan, ts.maxWindows)
-				compareQuiet(t, fmt.Sprintf("recycled w=%d", workers), lRes, lSnap, lErr, rRes, rSnap, rErr)
 			}
 		})
 	}
 }
 
-// TestColumnarKnobExcludedFromIdentity pins the performance-knob contract:
-// DisableColumnar changes neither the sweep grid signature nor the engine
-// pool key, so checkpoints and pooled engines are shared across settings.
-func TestColumnarKnobExcludedFromIdentity(t *testing.T) {
-	m := Matrix{Algorithms: []string{"core"}, Sizes: []Size{{N: 12, T: 1}},
-		Inputs: []string{"split"}, Seeds: []uint64{1}}
-	on := m.GridSignature()
-	m.DisableColumnar = true
-	off := m.GridSignature()
-	if on != off {
-		t.Fatalf("GridSignature depends on DisableColumnar:\non  %q\noff %q", on, off)
+// TestColumnarPlannedExactlyCoreAndBenor pins which algorithms take the
+// columnar path: the sim-level capability probe alone decides it, so under
+// full delivery every registered algorithm must plan columnar exactly when
+// it is core or benor.
+func TestColumnarPlannedExactlyCoreAndBenor(t *testing.T) {
+	want := map[string]bool{"core": true, "benor": true}
+	for _, a := range Algorithms() {
+		size := Size{N: 12, T: 1}
+		if a.Name == "committee" {
+			size = Size{N: 27, T: 3} // the smallest committee grid shape
+		}
+		p := Params{N: size.N, T: size.T, Inputs: SplitInputs(size.N), Seed: 1}
+		sys, err := NewSystem(a.Name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		plan, err := NewScheduledAdversary("full", "adversary", a.Name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		if got := sys.ColumnarPlanned(plan); got != want[a.Name] {
+			t.Errorf("%s under full: ColumnarPlanned = %t, want %t", a.Name, got, want[a.Name])
+		}
 	}
+}
 
+// TestPaxosNeverPlansColumnar pins the message-path gate for a non-columnar
+// algorithm on every adversary and scheduler the sweep grid pairs it with:
+// before each window of a run, ColumnarPlanned must stay false.
+func TestPaxosNeverPlansColumnar(t *testing.T) {
+	m := Matrix{Algorithms: []string{"paxos"}, Sizes: []Size{{N: 12, T: 1}},
+		Inputs: []string{"split"}, Seeds: []uint64{1}, MaxWindows: 50}
+	trials, err := m.allSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trials) == 0 {
+		t.Fatal("paxos grid expanded to no trials")
+	}
+	for _, ts := range trials {
+		inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed}
+		sys, err := NewSystem(ts.Algorithm, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewScheduledAdversary(ts.Adversary, ts.Scheduler, ts.Algorithm, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < ts.maxWindows && !sys.AllDecided(); w++ {
+			if sys.ColumnarPlanned(plan) {
+				t.Fatalf("paxos/%s/%s: columnar planned before window %d", ts.Adversary, ts.Scheduler, w)
+			}
+			if err := sys.ApplyWindowWith(plan); err != nil {
+				t.Fatalf("paxos/%s/%s: %v", ts.Adversary, ts.Scheduler, err)
+			}
+		}
+	}
+}
+
+// TestColumnarKnobExcludedFromIdentity pins the oracle-switch contract:
+// DisableColumnar does not change the engine pool key, so pooled engines
+// are shared across settings.
+func TestColumnarKnobExcludedFromIdentity(t *testing.T) {
 	p := Params{N: 12, T: 1, Inputs: SplitInputs(12), Seed: 1}
 	pOff := p
 	pOff.DisableColumnar = true

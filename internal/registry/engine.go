@@ -222,11 +222,9 @@ func (e *TrialEngine) prepare(p Params) error {
 	if err := e.sys.Recycle(p.Seed, p.Inputs); err != nil {
 		return err
 	}
-	// ShardWorkers is a performance knob outside the engine pool key (output
-	// is byte-identical at any setting), so a pooled engine may be re-acquired
-	// at a different worker count; apply it per acquisition. The common case
-	// (unchanged count) keeps the existing worker pool hot.
-	applyShardParams(e.sys, e.alg, p)
+	// DisableColumnar is outside the engine pool key (output is
+	// byte-identical either way), so apply it per acquisition.
+	e.sys.SetColumnar(!p.DisableColumnar)
 	recompose := false
 	if e.advD.Recycle == nil || !e.advD.Recycle(e.adv, p) {
 		adv, err := e.advD.New(e.alg, p)

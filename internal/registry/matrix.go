@@ -54,18 +54,6 @@ type Matrix struct {
 	Seeds []uint64
 	// MaxWindows is the per-trial window budget; 0 = DefaultMatrix().MaxWindows.
 	MaxWindows int
-	// ShardWorkers sets the intra-trial parallelism of every trial (see
-	// Params.ShardWorkers); <= 1 runs the serial facade. Per-trial output is
-	// byte-identical at any setting, so it is a performance knob, not a grid
-	// axis: it is deliberately excluded from GridSignature, and a sweep
-	// checkpointed at one worker count may resume at another.
-	ShardWorkers int
-	// DisableColumnar turns off the columnar vote-tally fast path for every
-	// trial (see Params.DisableColumnar). Like ShardWorkers it is a
-	// performance knob, not a grid axis: per-trial output is byte-identical
-	// either way, it is excluded from GridSignature, and a sweep
-	// checkpointed at one setting may resume at another.
-	DisableColumnar bool
 }
 
 // DefaultMatrix returns the default sweep grid: every registered algorithm
@@ -147,10 +135,8 @@ func (s *Sweep) Healthy() bool {
 type trialSpec struct {
 	cell int // index into the expanded cell list
 	Cell
-	seed            uint64
-	maxWindows      int
-	shardWorkers    int
-	disableColumnar bool
+	seed       uint64
+	maxWindows int
 }
 
 // key renders the trial's stable identity. It delegates to
@@ -289,7 +275,6 @@ func (m Matrix) specAt(cells []Cell, i int) trialSpec {
 	return trialSpec{
 		cell: i / s, Cell: cells[i/s],
 		seed: m.Seeds[i%s], maxWindows: m.MaxWindows,
-		shardWorkers: m.ShardWorkers, disableColumnar: m.DisableColumnar,
 	}
 }
 
@@ -317,8 +302,7 @@ func runTrial(ts trialSpec) (sim.RunResult, error) {
 	if err != nil {
 		return sim.RunResult{}, err
 	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
+	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed}
 	return RunPooledTrial(ts.Algorithm, ts.Adversary, ts.Scheduler, p, ts.maxWindows)
 }
 
@@ -331,8 +315,7 @@ func runTrialUntil(ts trialSpec, expired func(windows int) bool) (sim.RunResult,
 	if err != nil {
 		return sim.RunResult{}, false, err
 	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
+	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed}
 	e, err := AcquireTrial(ts.Algorithm, ts.Adversary, ts.Scheduler, p)
 	if err != nil {
 		return sim.RunResult{}, false, err
@@ -350,8 +333,7 @@ func runTrialFresh(ts trialSpec) (sim.RunResult, error) {
 	if err != nil {
 		return sim.RunResult{}, err
 	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
+	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed}
 	sys, err := NewSystem(ts.Algorithm, p)
 	if err != nil {
 		return sim.RunResult{}, err

@@ -85,20 +85,11 @@ type Params struct {
 	CoreThresholds *core.Thresholds
 	// Proposers optionally selects the Paxos proposers (default {0}).
 	Proposers []sim.ProcID
-	// ShardWorkers sets the intra-trial parallelism of the sharded window
-	// core (sim.SetShardWorkers): <= 1 runs the serial facade; k >= 2 runs
-	// window delivery (and sending, where the algorithm declares it safe)
-	// across k goroutines. Observable behavior is byte-identical at every
-	// setting, so this is a performance knob, not an execution parameter —
-	// it is deliberately excluded from sweep grid signatures and engine pool
-	// keys. Applied only when the algorithm's ParallelDelivery flag is set.
-	ShardWorkers int
 	// DisableColumnar turns off the columnar vote-tally fast path
-	// (sim/columnar.go) for algorithms that declare ColumnarVotes; the zero
-	// value leaves it on. Like ShardWorkers, observable behavior is
-	// byte-identical either way, so this is a performance knob, not an
-	// execution parameter — it is deliberately excluded from sweep grid
-	// signatures and engine pool keys.
+	// (sim/columnar.go); the zero value leaves it on. Observable behavior
+	// is byte-identical either way: the message path it selects is the
+	// kernel's test oracle, not a tuning knob, so it is deliberately
+	// excluded from sweep grid signatures and engine pool keys.
 	DisableColumnar bool
 	// AdvKnobs supplies values for the adversary's declared tuning knobs
 	// (Adversary.Knobs), positionally. A nil slice leaves every knob at the
@@ -141,20 +132,6 @@ type Algorithm struct {
 	// internal Bracha instance); the sweep matrix pairs these algorithms
 	// only with loss-free adversaries.
 	NeedsFullDelivery bool
-	// ParallelDelivery declares that the algorithm's Deliver touches only
-	// the receiving processor's own state (plus read-only shared payloads),
-	// so distinct receivers may be delivered to concurrently and the sharded
-	// window core (Params.ShardWorkers) may engage.
-	ParallelDelivery bool
-	// ParallelSend declares the same independence for Send: no mutable
-	// state shared across senders, so the per-sender collection loop may
-	// shard too. Only consulted when ParallelDelivery is set.
-	ParallelSend bool
-	// ColumnarVotes declares that every processor implements
-	// sim.VoteBroadcaster and sim.TallyReceiver, so the columnar vote-tally
-	// fast path may engage (subject to Params.DisableColumnar and the
-	// sim-level gate).
-	ColumnarVotes bool
 	// Validate checks p without building anything.
 	Validate func(p Params) error
 	// Factory returns the per-processor sim.Process constructor. It may
@@ -408,23 +385,8 @@ func NewSystem(alg string, p Params) (*sim.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	applyShardParams(sys, a, p)
+	sys.SetColumnar(!p.DisableColumnar)
 	return sys, nil
-}
-
-// applyShardParams configures the sharded window core and the columnar
-// fast path on sys from the descriptor's concurrency-safety declarations
-// and the requested knobs. Safe to call on every pooled-engine
-// acquisition: sim.System keeps its worker pool when the count is
-// unchanged.
-func applyShardParams(sys *sim.System, a *Algorithm, p Params) {
-	workers := 1
-	if a.ParallelDelivery && p.ShardWorkers > 1 {
-		workers = p.ShardWorkers
-	}
-	sys.SetShardWorkers(workers)
-	sys.SetParallelSend(a.ParallelSend)
-	sys.SetColumnar(a.ColumnarVotes && !p.DisableColumnar)
 }
 
 // NewAdversary constructs fresh per-trial adversary state for the named

@@ -117,7 +117,8 @@ type ResultSink interface {
 	// Consume accepts the next completed trial; an error aborts the sweep
 	// (surfaced like a failing trial at that index).
 	Consume(TrialRecord) error
-	// Flush makes everything consumed durable.
+	// Flush hands everything consumed to the underlying writer. File
+	// sinks reach the OS this way but never call Sync (DESIGN.md §4c).
 	Flush() error
 }
 

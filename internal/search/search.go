@@ -84,9 +84,6 @@ type Options struct {
 	// batches of Population candidates each (defaults 3 and 8).
 	Generations int
 	Population  int
-	// ShardWorkers sets per-trial intra-trial parallelism (see
-	// registry.Params.ShardWorkers); byte-identical output at any setting.
-	ShardWorkers int
 }
 
 // resolve fills defaults, returning the fully explicit options every
@@ -516,7 +513,7 @@ func (d *driver) evaluate(i int, stage string, size registry.Size, c Candidate) 
 			return rec
 		}
 		p := registry.Params{N: size.N, T: size.T, Inputs: inputs, Seed: seed,
-			AdvKnobs: knobsOrNil(c.Knobs), ShardWorkers: d.o.ShardWorkers}
+			AdvKnobs: knobsOrNil(c.Knobs)}
 		var expired func(windows int) bool
 		if injectPanic && trial == 1 {
 			key := rec.Key()

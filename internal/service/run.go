@@ -184,7 +184,6 @@ func (s *Server) execute(ctx context.Context, sc Scenario, seed uint64, onEvent 
 	}
 	p := registry.Params{
 		N: sc.N, T: sc.T, Inputs: inputs, Seed: seed,
-		ShardWorkers: s.cfg.ShardWorkers, DisableColumnar: s.cfg.DisableColumnar,
 		AdvKnobs: sc.Knobs,
 	}
 	e, err := registry.AcquireTrial(sc.Algorithm, sc.Adversary, sc.Scheduler, p)

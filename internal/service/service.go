@@ -65,14 +65,6 @@ type Config struct {
 	// QuarantineAfter quarantines a scenario after this many consecutive
 	// faulted requests (default 3; negative disables quarantine).
 	QuarantineAfter int
-	// ShardWorkers sets the intra-trial parallelism of every served trial
-	// (a pure performance knob — results are byte-identical at any
-	// setting); <= 1 runs the serial facade.
-	ShardWorkers int
-	// DisableColumnar opts every served trial out of the columnar
-	// vote-tally fast path (another pure performance knob — results are
-	// byte-identical either way). The zero value keeps it on.
-	DisableColumnar bool
 	// JournalPath persists named instances to an append-only journal at
 	// this path; empty keeps them in memory only.
 	JournalPath string

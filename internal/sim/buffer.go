@@ -189,34 +189,6 @@ func (b *Buffer) Reset() {
 	b.live = 0
 }
 
-// DrainAll removes every buffered message in one O(arena) sweep. Unlike
-// Reset it preserves the ID sequence — nextID keeps counting and idBase
-// advances past it — so IDs stay globally monotone across windows. The
-// sharded window core uses this to retire a fully-buffered window batch
-// without per-ID Take calls; callers must know the buffer holds nothing
-// worth keeping.
-func (b *Buffer) DrainAll() {
-	for i := range b.arena {
-		sl := &b.arena[i]
-		sl.msg = Message{}
-		sl.next, sl.prev = -1, -1
-	}
-	b.free = b.free[:0]
-	for i := len(b.arena) - 1; i >= 0; i-- {
-		b.free = append(b.free, int32(i))
-	}
-	for i := range b.ring {
-		b.ring[i] = -1
-	}
-	for i := range b.heads {
-		b.heads[i] = -1
-		b.tails[i] = -1
-	}
-	b.idBase = b.nextID + 1
-	b.head = 0
-	b.live = 0
-}
-
 // Take removes and returns the message with the given ID.
 func (b *Buffer) Take(id int64) (Message, bool) {
 	si := b.slotFor(id)

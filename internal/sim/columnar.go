@@ -24,8 +24,8 @@ import (
 // TallyReceiver, and the adversary implements ColumnarPlanner and currently
 // plans without reading the batch. Everything else — hand-built windows
 // through ApplyWindow/WindowDeliver, non-columnar algorithms, traced runs —
-// takes the untouched existing path, mirroring the sharded core's
-// hand-built-batch gate.
+// takes the untouched message path, which also serves as the kernel's test
+// oracle (registry.Params.DisableColumnar).
 
 // ValNeutral is the smallest neutral (non-value-bearing) column value: a
 // published Val < ValNeutral carries the bit Val ∈ {0, 1}, while Val >=
@@ -182,8 +182,8 @@ type Tally struct {
 
 // WindowTally is the per-receiver delivery view handed to
 // TallyReceiver.DeliverTally: the window's columns masked by the receiver's
-// allowed-sender row. It is System-owned (or shard-owned) scratch, valid
-// only for the duration of the DeliverTally call.
+// allowed-sender row. It is System-owned scratch, valid only for the
+// duration of the DeliverTally call.
 type WindowTally struct {
 	cs       *ColumnSet
 	allowAll bool
@@ -267,13 +267,10 @@ type ColumnarPlanner interface {
 
 // SetColumnar enables or disables the columnar kernel. It is enabled by
 // default (the zero System runs columnar whenever the guards allow);
-// disabling forces every window onto the message-at-a-time path. Like
-// SetShardWorkers, the setting is a pure performance knob — output is
-// byte-identical either way — and survives Recycle.
+// disabling forces every window onto the message-at-a-time path, the
+// kernel's test oracle. Output is byte-identical either way, and the
+// setting survives Recycle.
 func (s *System) SetColumnar(on bool) { s.colOff = !on }
-
-// Columnar reports whether the columnar kernel is enabled.
-func (s *System) Columnar() bool { return !s.colOff }
 
 // columnarPlanner decides whether the next window may take the columnar
 // path, returning the capable planner when so. The capability of the
@@ -435,14 +432,11 @@ func (s *System) columnarDeliver(senders [][]ProcID) error {
 	if senders != nil && len(senders) != s.n {
 		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
 	}
-	if s.shardWorkers > 1 {
-		return s.columnarDeliverSharded(senders)
-	}
 	if err := s.validateSenders(senders); err != nil {
 		return err
 	}
 	// The all-senders tally is shared by every allowAll receiver.
-	s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
+	fullMsgs, fullDepth := s.columnarCount(nil)
 	wt := &s.colTally
 	wt.cs = &s.colSet
 	for i := 0; i < s.n; i++ {
@@ -452,7 +446,7 @@ func (s *System) columnarDeliver(senders [][]ProcID) error {
 		var msgs int64
 		var depth int
 		if s.allowAll[i] {
-			msgs, depth = s.colFullMsgs, s.colFullDepth
+			msgs, depth = fullMsgs, fullDepth
 			wt.allowAll, wt.allow = true, nil
 		} else {
 			row := s.allowedRow(i)
@@ -470,88 +464,4 @@ func (s *System) columnarDeliver(senders [][]ProcID) error {
 		s.recordOutputs(ProcID(i))
 	}
 	return nil
-}
-
-// columnarDeliverSharded runs the tally loop across the shard pool:
-// validation and the merge reuse the sharded core's machinery unchanged
-// (ascending shard order, first error/violation wins, panics re-raised at
-// the merge), and each shard tallies its receiver range against its own
-// WindowTally scratch.
-func (s *System) columnarDeliverSharded(senders [][]ProcID) error {
-	pool := s.ensureShardPool()
-	s.resetShards()
-	for i := range s.allowAll {
-		s.allowAll[i] = true
-	}
-	if senders != nil {
-		s.shardSenders = senders
-		pool.run(s, phaseValidate, len(s.shards))
-		s.shardSenders = nil
-		for i := range s.shards {
-			sh := &s.shards[i]
-			if sh.panicked {
-				panic(sh.panicVal)
-			}
-			if sh.err != nil {
-				return sh.err
-			}
-		}
-	}
-	// Precompute the shared all-senders tally serially: the shards read it.
-	s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
-	pool.run(s, phaseTally, len(s.shards))
-	anyDecided := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.steps += sh.steps
-		if sh.decided {
-			anyDecided = true
-		}
-		if sh.violation != nil && s.violation == nil {
-			s.violation = sh.violation
-		}
-		if sh.panicked {
-			if anyDecided && s.firstDecision < 0 {
-				s.firstDecision = s.windows
-			}
-			panic(sh.panicVal)
-		}
-	}
-	if anyDecided && s.firstDecision < 0 {
-		s.firstDecision = s.windows
-	}
-	return nil
-}
-
-// shardTallyRange is the phaseTally body: the serial tally loop restricted
-// to the shard's receiver range, with step counts and decision flags routed
-// into shard scratch for the ascending merge. OnEvent is nil on the
-// columnar path, so no events are buffered.
-func (s *System) shardTallyRange(sh *windowShard) {
-	wt := &sh.tally
-	wt.cs = &s.colSet
-	for i := sh.lo; i < sh.hi; i++ {
-		if s.crashed[i] {
-			continue
-		}
-		var msgs int64
-		var depth int
-		if s.allowAll[i] {
-			msgs, depth = s.colFullMsgs, s.colFullDepth
-			wt.allowAll, wt.allow = true, nil
-		} else {
-			row := s.allowedRow(i)
-			msgs, depth = s.columnarCount(row)
-			wt.allowAll, wt.allow = false, row
-		}
-		if msgs == 0 {
-			continue
-		}
-		sh.steps += msgs
-		if s.chainDepth[i] < depth {
-			s.chainDepth[i] = depth
-		}
-		s.procs[i].(TallyReceiver).DeliverTally(wt, s.rngs[i])
-		s.shardRecordOutputs(sh, ProcID(i))
-	}
 }

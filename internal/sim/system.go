@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"asyncagree/internal/rng"
 )
@@ -131,32 +130,13 @@ type System struct {
 	allowBits    []uint64
 	allowAll     []bool
 
-	// Sharded window core state (shard.go, shardpool.go). shardWorkers is
-	// the configured parallelism (<= 1 selects the serial facade above);
-	// parallelSend additionally shards WindowSend when the algorithm
-	// declares its Send concurrency-safe. The pool, per-shard scratch, and
-	// order buffers are lazily built on the first sharded window and — like
-	// the serial scratch — deliberately survive Recycle, so a pooled trial
-	// engine keeps its worker goroutines hot across thousands of trials.
-	shardWorkers int
-	parallelSend bool
-	shardPool    *shardPool
-	shardCleanup runtime.Cleanup
-	shards       []windowShard
-	shardSenders [][]ProcID // phaseValidate input; nil outside that phase
-	orderIdx     []int32    // batch indices bucketed by receiver
-	orderOff     []int32    // orderIdx bucket offsets, len n+1
-	orderPos     []int32    // bucket fill cursors, len n
-
 	// Columnar kernel state (columnar.go). colOff disables the fast path
 	// (the zero value keeps it enabled); colCap caches whether every process
 	// implements the columnar hooks (+1 yes, -1 no, 0 unknown — sound to
 	// cache because it is only consulted while no processor is corrupted and
 	// Recycle rebuilds corrupted processors through the same factory, so
 	// process types never change under the guard). colSet/colTally/colDepth*
-	// are reusable window scratch; colFullMsgs/colFullDepth cache the
-	// all-senders tally shared by allowAll receivers, computed serially
-	// before any parallel tally phase. Like the sharded scratch, all of it
+	// are reusable window scratch that, like the message-path scratch above,
 	// deliberately survives Recycle.
 	colOff       bool
 	colCap       int8
@@ -164,8 +144,6 @@ type System struct {
 	colTally     WindowTally
 	colDepths    []int
 	colDepthRows [][]uint64
-	colFullMsgs  int64
-	colFullDepth int
 }
 
 // New constructs a System, instantiating one Process per processor.

@@ -17,9 +17,6 @@ import (
 // all n processors send; the crash-model reuse of windows in Section 5
 // (Definition 19) simply has crashed processors contribute nothing.
 func (s *System) WindowSend() []Message {
-	if s.shardWorkers > 1 && s.parallelSend {
-		return s.windowSendSharded()
-	}
 	batch := s.batchScratch[:0]
 	for i := 0; i < s.n; i++ {
 		if s.crashed[i] {
@@ -47,12 +44,6 @@ func (s *System) allowedRow(i int) []uint64 {
 func (s *System) WindowDeliver(batch []Message, senders [][]ProcID) error {
 	if senders != nil && len(senders) != s.n {
 		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
-	}
-	// The sharded core handles only the System's own just-sent batch, whose
-	// invariants (verbatim stored copies, in-range To, sender-major ascending
-	// IDs) its ordering shortcut relies on; hand-built batches stay here.
-	if s.shardWorkers > 1 && s.shardedBatch(batch) {
-		return s.windowDeliverSharded(batch, senders)
 	}
 	if err := s.validateSenders(senders); err != nil {
 		return err
